@@ -13,6 +13,19 @@
 //! * everything else — objects, arrays, strings with escapes, booleans,
 //!   null — is standard, so ordinary JSON tooling reads the files whenever
 //!   no non-finite number appears.
+//!
+//! Parsing is linear in the document size: a string body is copied one
+//! run of bytes at a time (up to the next `"` or `\`), validating only
+//! that run. `\u` escapes take exactly four hex digits; a UTF-16
+//! surrogate pair (`\ud83d\ude00`) decodes to its one scalar, and a lone
+//! surrogate is an error. Arrays and objects may nest at most 64 levels
+//! deep (`MAX_DEPTH`) — past that the reader returns an `Err`
+//! rather than recursing on, so a hostile line of `[[[[…` cannot overflow
+//! the stack of whoever parses it (the daemon reads requests with this
+//! reader). Certificates nest about five levels deep.
+
+/// Deepest array/object nesting [`Json::parse`] accepts.
+const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value. Object keys keep insertion order (a `Vec`, not a
 /// map): files stay diffable and key lookup is linear over a handful of
@@ -32,7 +45,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing content at byte {pos}"));
@@ -114,8 +127,15 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse one value nested inside `depth` enclosing arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'{' | b'[')) {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'{') => {
@@ -132,7 +152,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string_body(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let v = parse_value(bytes, pos)?;
+                let v = parse_value(bytes, pos, depth + 1)?;
                 members.push((key, v));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -154,7 +174,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -212,13 +232,22 @@ fn parse_keyword(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Resu
 fn parse_string_body(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote or backslash in one step. Both
+        // are ASCII, so the run ends on a character boundary of the `&str`
+        // the bytes came from and validating it alone is enough.
+        let start = *pos;
+        while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+            *pos += 1;
+        }
+        out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
         match bytes.get(*pos) {
             None => return Err("unterminated string".to_string()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // A backslash: one escape.
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -230,31 +259,51 @@ fn parse_string_body(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                        *pos += 4;
+                        out.push(parse_unicode_escape(bytes, pos)?);
+                        continue;
                     }
                     other => return Err(format!("bad escape {other:?}")),
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through unescaped).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().expect("non-empty by the match");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
         }
     }
+}
+
+/// Decode the `\u` escape whose `u` is at `*pos`, leaving `*pos` just past
+/// it. A high surrogate must be followed by a `\u` low surrogate; the pair
+/// decodes to one scalar.
+fn parse_unicode_escape(bytes: &[u8], pos: &mut usize) -> Result<char, String> {
+    let hi = hex4(bytes, *pos + 1)?;
+    *pos += 5;
+    let code = match hi {
+        0xD800..=0xDBFF => {
+            if bytes.get(*pos..*pos + 2) != Some(b"\\u") {
+                return Err(format!("unpaired surrogate \\u{hi:04x}"));
+            }
+            let lo = hex4(bytes, *pos + 2)?;
+            if !(0xDC00..=0xDFFF).contains(&lo) {
+                return Err(format!("unpaired surrogate \\u{hi:04x}"));
+            }
+            *pos += 6;
+            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+        }
+        0xDC00..=0xDFFF => return Err(format!("unpaired surrogate \\u{hi:04x}")),
+        _ => hi,
+    };
+    Ok(char::from_u32(code).expect("surrogates are handled above"))
+}
+
+/// The four hex digits at `bytes[at..at + 4]`, exactly (no sign, no
+/// shorter run).
+fn hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
+    let digits = bytes
+        .get(at..at + 4)
+        .filter(|d| d.iter().all(u8::is_ascii_hexdigit))
+        .ok_or("\\u escape needs four hex digits")?;
+    Ok(digits.iter().fold(0, |acc, &d| {
+        acc * 16 + (d as char).to_digit(16).expect("hex digit")
+    }))
 }
 
 /// Render an `f64` so that parsing it back is bit-exact: Rust's shortest
@@ -333,6 +382,57 @@ mod tests {
         for bad in ["{", "[1,", "\"abc", "{\"a\" 1}", "[] []", "tru"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn unicode_escapes_decode_surrogate_pairs() {
+        let str_of = |doc: &str| Json::parse(doc).map(|v| v.as_str().unwrap().to_string());
+        assert_eq!(str_of(r#""\ud83d\ude00""#).as_deref(), Ok("\u{1f600}"));
+        assert_eq!(
+            str_of(r#""a\u00e9\u4E2Db""#).as_deref(),
+            Ok("a\u{e9}\u{4e2d}b")
+        );
+        assert_eq!(str_of(r#""\udbff\udfff""#).as_deref(), Ok("\u{10ffff}"));
+        // Lone or mismatched surrogates are not scalars.
+        for bad in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83dA""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ude00""#,
+            r#""\ude00\ud83d""#,
+        ] {
+            assert!(Json::parse(bad).is_err(), "accepted {bad}");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_need_exactly_four_hex_digits() {
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u041""#,
+            r#""\u04g1""#,
+            r#""\u 041""#,
+            r#""\u00"#,
+        ] {
+            assert!(Json::parse(bad).is_err(), "accepted {bad}");
+        }
+        let v = Json::parse(r#""\u0041\u00411""#).unwrap();
+        assert_eq!(v.as_str(), Ok("AA1"));
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |open: &str, close: &str, n: usize| open.repeat(n) + "1" + &close.repeat(n);
+        assert!(Json::parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested("[", "]", MAX_DEPTH + 1)).is_err());
+        assert!(Json::parse(&nested("{\"k\": ", "}", MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested("{\"k\": ", "}", MAX_DEPTH + 1)).is_err());
+        // A million unclosed brackets (the daemon's 1 MiB line cap) is an
+        // error, not a stack overflow.
+        let err = Json::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
     }
 
     #[test]

@@ -24,8 +24,11 @@
 //! Trust base: `xcv-interval` (outward-rounded arithmetic) and the tape
 //! re-evaluator in `xcv-expr`. **No dependency on `xcv-solver` or
 //! `xcv-core`** — the checker shares no search code with the prover whose
-//! output it audits. The `xcvcheck` binary wraps [`check`] for CI and
-//! third parties.
+//! output it audits. The one other dependency is the workspace's `rayon`
+//! shim (scoped threads drawn from a process-wide worker budget; it
+//! carries no solver code), which [`check`] uses to replay regions in
+//! parallel. The `xcvcheck` binary wraps [`check`] for CI and third
+//! parties.
 
 //! Solver runs that use the escalation ladder record two further step
 //! kinds, both replayed here: a `Shave` step (3B slab shaving) is
@@ -46,6 +49,8 @@ pub mod json;
 pub mod store;
 
 use json::{escape, fmt_f64, Json};
+use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use xcv_expr::newton::{newton_contract, NewtonAtom, NewtonScratch};
 use xcv_expr::IntervalTape;
 use xcv_interval::Interval;
@@ -972,7 +977,6 @@ pub fn check(cert: &Certificate) -> Result<CheckReport, String> {
             })
         }
     };
-    let mut nscratch = NewtonScratch::default();
 
     // 1. The cover tiles the domain.
     for (i, r) in cert.regions.iter().enumerate() {
@@ -986,13 +990,15 @@ pub fn check(cert: &Certificate) -> Result<CheckReport, String> {
     let all: Vec<usize> = (0..cert.regions.len()).collect();
     check_tiling(&cert.domain, &all, &cert.regions, 0)?;
 
-    // 2 & 3. Per-region claims.
-    let mut report = CheckReport {
-        regions: cert.regions.len(),
-        ..CheckReport::default()
-    };
-    let mut vals = tape.scratch();
-    for (i, r) in cert.regions.iter().enumerate() {
+    // 2 & 3. Per-region claims: re-establish region `i`'s claim, by
+    // replaying a `verified` trace or re-evaluating a `counterexample`
+    // witness.
+    let replay_region = |i: usize,
+                         vals: &mut Vec<Interval>,
+                         nscratch: &mut NewtonScratch,
+                         report: &mut CheckReport|
+     -> Result<(), String> {
+        let r = &cert.regions[i];
         match &r.verdict {
             CertVerdict::Verified { trace } => {
                 replay_verified(
@@ -1001,10 +1007,10 @@ pub fn check(cert: &Certificate) -> Result<CheckReport, String> {
                     cert.max_rounds,
                     &r.bounds,
                     trace,
-                    &mut vals,
+                    vals,
                     newton.as_ref(),
-                    &mut nscratch,
-                    &mut report,
+                    nscratch,
+                    report,
                 )
                 .map_err(|e| format!("region {i}: {e}"))?;
             }
@@ -1018,7 +1024,7 @@ pub fn check(cert: &Certificate) -> Result<CheckReport, String> {
                 let point: Vec<Interval> = witness.iter().map(|&v| Interval::point(v)).collect();
                 vals.clear();
                 vals.resize(tape.len(), Interval::ENTIRE);
-                tape.forward(&point, &mut vals);
+                tape.forward(&point, vals);
                 let enclosure = vals[psi_slot];
                 if !enclosure.intersect(&psi_allowed).is_empty() {
                     return Err(format!(
@@ -1032,6 +1038,66 @@ pub fn check(cert: &Certificate) -> Result<CheckReport, String> {
             }
             CertVerdict::Inconclusive | CertVerdict::Timeout => {}
         }
+        Ok(())
+    };
+    // Replayed region-parallel: workers, each with its own scratch, pull
+    // regions off a shared queue, longest trace first (a region's replay
+    // cost is its trace length), and skip any region past the lowest
+    // failing index seen so far; the error returned is the lowest-index
+    // failure's, as in a sequential replay. The shim draws workers from a
+    // process-wide budget: inside a campaign, which already holds it, one
+    // worker replays every region on the calling thread.
+    let trace_len = |i: usize| match &cert.regions[i].verdict {
+        CertVerdict::Verified { trace } => trace.len(),
+        _ => 0,
+    };
+    let mut queue: Vec<usize> = (0..cert.regions.len()).collect();
+    queue.sort_by_key(|&i| std::cmp::Reverse(trace_len(i)));
+    // Both atomics publish no other data (`Relaxed`): `next` hands out
+    // queue positions, and `lowest_failure` only lets workers skip work;
+    // the failures themselves come back through the join.
+    let next = AtomicUsize::new(0);
+    let lowest_failure = AtomicUsize::new(usize::MAX);
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .clamp(1, cert.regions.len().max(1));
+    let outcomes: Vec<(CheckReport, Option<(usize, String)>)> = (0..workers)
+        .into_par_iter()
+        .map(|_| {
+            let mut report = CheckReport::default();
+            let mut failure: Option<(usize, String)> = None;
+            let mut vals = tape.scratch();
+            let mut nscratch = NewtonScratch::default();
+            while let Some(&i) = queue.get(next.fetch_add(1, Ordering::Relaxed)) {
+                if i > lowest_failure.load(Ordering::Relaxed) {
+                    continue;
+                }
+                if let Err(e) = replay_region(i, &mut vals, &mut nscratch, &mut report) {
+                    lowest_failure.fetch_min(i, Ordering::Relaxed);
+                    if failure.as_ref().is_none_or(|(j, _)| i < *j) {
+                        failure = Some((i, e));
+                    }
+                }
+            }
+            (report, failure)
+        })
+        .collect();
+    if let Some((_, e)) = outcomes
+        .iter()
+        .filter_map(|(_, failure)| failure.as_ref())
+        .min_by_key(|(i, _)| *i)
+    {
+        return Err(e.clone());
+    }
+    let mut report = CheckReport {
+        regions: cert.regions.len(),
+        ..CheckReport::default()
+    };
+    for (part, _) in &outcomes {
+        report.replayed_leaves += part.replayed_leaves;
+        report.witnesses += part.witnesses;
+        report.newton_steps += part.newton_steps;
+        report.shaved_slabs += part.shaved_slabs;
     }
     Ok(report)
 }
@@ -1361,5 +1427,48 @@ mod tests {
             },
         }];
         assert!(check(&cert).is_err());
+    }
+
+    #[test]
+    fn the_lowest_failing_region_is_reported() {
+        // `x - 10 <= 0` holds everywhere on [-2, 2], so every prune claim
+        // is fake; the cover is [-2, 2] bisected twice.
+        let quarter = |k: usize, verdict: CertVerdict| CertRegion {
+            bounds: vec![iv(k as f64 - 2.0, k as f64 - 1.0)],
+            verdict,
+        };
+        let fake_prune = || CertVerdict::Verified {
+            trace: vec![CertEvent::Pruned],
+        };
+        let outside = || CertVerdict::Counterexample { witness: vec![5.0] };
+        let mut cert = unsat_cert();
+        cert.tape = tape_for(&(var(0) - 10.0));
+        cert.regions = vec![
+            quarter(0, CertVerdict::Inconclusive),
+            quarter(1, fake_prune()),
+            quarter(2, outside()),
+            quarter(3, CertVerdict::Timeout),
+        ];
+        assert_eq!(
+            check(&cert),
+            Err("region 1: event 0: recorded prune does not contract to empty".to_string())
+        );
+        cert.regions[1].verdict = outside();
+        cert.regions[2].verdict = fake_prune();
+        assert_eq!(
+            check(&cert),
+            Err("region 1: witness lies outside its region".to_string())
+        );
+    }
+
+    #[test]
+    fn long_traces_parse() {
+        let mut cert = unsat_cert();
+        cert.regions[0].verdict = CertVerdict::Verified {
+            trace: vec![CertEvent::Pruned; 200_000],
+        };
+        let text = cert.to_json();
+        assert_eq!(text.matches(r#"["p"]"#).count(), 200_000);
+        assert_eq!(Certificate::parse(&text), Ok(cert));
     }
 }

@@ -188,3 +188,20 @@ fn oversized_lines_error_and_close_but_the_daemon_survives() {
     let mut client = xcv_serve::Client::connect(daemon()).expect("connect");
     client.ping().expect("daemon survived the flood");
 }
+
+/// A line of nothing but `[` just under the 1 MiB cap nests a million
+/// levels deep: the reader's depth limit turns it into a structured error
+/// (a recursive descent to the bottom would overflow the connection
+/// thread's stack and abort the whole daemon).
+#[test]
+fn deeply_nested_lines_error_and_the_daemon_survives() {
+    let line = "[".repeat((1 << 20) - 1);
+    match send_line_then_ping(&line) {
+        Ok(Event::Error { message }) => {
+            assert!(message.contains("nesting"), "names the limit: {message:?}")
+        }
+        other => panic!("expected an error, got {other:?}"),
+    }
+    let mut client = xcv_serve::Client::connect(daemon()).expect("connect");
+    client.ping().expect("daemon survived the deep line");
+}
