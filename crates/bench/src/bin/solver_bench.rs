@@ -193,7 +193,7 @@ fn campaign_run(
         split_threshold: 0.625,
         solver: DeltaSolver::new(1e-3, SolveBudget::nodes(nodes)),
         // Pairs themselves are the parallel unit here: per-pair recursion
-        // stays sequential so the schedule's chunk balance is what is
+        // stays sequential so the schedule's cell order is what is
         // measured.
         parallel: false,
         parallel_depth: 0,

@@ -7,14 +7,18 @@
 //!
 //! * **building** — [`Campaign::builder`] takes any mix of registry handles
 //!   (built-in `Dfa` variants, runtime-registered DSL functionals), a
-//!   condition subset (default: all seven), and a [`VerifierConfig`];
+//!   condition subset (default: all seven), and a [`VerifierConfig`]; or,
+//!   through [`CampaignBuilder::cells`], an explicit list of cells, so
+//!   different functionals can run different condition subsets;
 //! * **scheduling** — applicable pairs are encoded up front, ranked
 //!   costliest-first (by the hand-weighted [`pair_cost`] or, better, a
 //!   [`CostModel`] *fit from measured wall-clocks* via
-//!   [`CampaignBuilder::cost_model`]) and fanned out across rayon. Each pair
-//!   keeps the per-pair deadline from the verifier config; a global
-//!   wall-clock budget bounds the whole campaign, and pairs reached after it
-//!   expires are recorded as skipped rather than run;
+//!   [`CampaignBuilder::cost_model`]), and pulled off that list by rayon
+//!   workers as each frees up, so the costliest cells start first and
+//!   the cheap tail fills the gaps (list scheduling). Each pair keeps the
+//!   per-pair deadline from the verifier config; a global wall-clock budget
+//!   bounds the whole campaign, and pairs reached after it expires are
+//!   recorded as skipped rather than run;
 //! * **observing** — [`CampaignEvent`]s stream through a callback (or the
 //!   [`CampaignBuilder::event_channel`] convenience) as pairs start, finish,
 //!   and produce counterexamples; a [`CancelToken`] stops the campaign at
@@ -67,9 +71,10 @@ pub enum CampaignSchedule {
     /// behaviour, kept so the scheduler itself can be benchmarked against
     /// (`solver_bench` records both wall-clocks in `BENCH_solver.json`).
     MatrixOrder,
-    /// Cells are ranked by the [`pair_cost`] model and laid out so worker
-    /// chunks carry near-equal total cost, costliest cells first — large
-    /// meta-GGA/spin pairs no longer straggle at the tail of the pool.
+    /// Cells run costliest first by the [`pair_cost`] model (or an attached
+    /// [`CostModel`]), each taken by whichever worker frees up next — large
+    /// meta-GGA/spin pairs start early instead of straggling at the tail of
+    /// the pool, and cheap cells fill in around them.
     #[default]
     CostAware,
 }
@@ -288,40 +293,19 @@ fn solve4(mut a: [[f64; 4]; 4], mut b: [f64; 4]) -> Option<[f64; 4]> {
     x.iter().all(|v| v.is_finite()).then_some(x)
 }
 
-/// Lay cells out for the chunked thread pool: indices sorted costliest
-/// first, then dealt LPT-style (longest-processing-time) into `workers`
-/// equal-size buckets whose concatenation becomes the execution order —
-/// each contiguous worker chunk then carries a near-equal share of the
-/// modeled cost instead of, say, every SCAN cell landing in one chunk.
-fn cost_aware_order(costs: &[f64], workers: usize) -> Vec<usize> {
-    let n = costs.len();
-    let k = workers.clamp(1, n.max(1));
-    let cap = n.div_ceil(k);
-    let mut ranked: Vec<usize> = (0..n).collect();
-    // Ties keep matrix order, making the schedule deterministic; NaN never
-    // occurs (predictions are finiteness-guarded) but would sort last.
+/// The execution order of the pull-scheduled pool: cell indices sorted
+/// costliest first (Graham's LPT list schedule — each free worker takes the
+/// next cell). Ties keep matrix order, making the schedule deterministic;
+/// NaN never occurs (predictions are finiteness-guarded) but would tie.
+fn cost_aware_order(costs: &[f64]) -> Vec<usize> {
+    let mut ranked: Vec<usize> = (0..costs.len()).collect();
     ranked.sort_by(|&i, &j| {
         costs[j]
             .partial_cmp(&costs[i])
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(i.cmp(&j))
     });
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); k];
-    let mut loads = vec![0.0f64; k];
-    for i in ranked {
-        let b = (0..k)
-            .filter(|&b| buckets[b].len() < cap)
-            .min_by(|&x, &y| {
-                loads[x]
-                    .partial_cmp(&loads[y])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(x.cmp(&y))
-            })
-            .expect("cap * k >= n");
-        buckets[b].push(i);
-        loads[b] += costs[i];
-    }
-    buckets.concat()
+    ranked
 }
 
 /// A cell that never encoded, with the reason it was skipped.
@@ -422,9 +406,11 @@ impl PairOutcome {
 /// cell, in functional-major (column-major) matrix order.
 #[derive(Clone, Debug)]
 pub struct CampaignReport {
-    /// The functionals of the campaign, in builder order.
+    /// The functionals of the campaign, in builder order (those only
+    /// named by explicit cells follow, in first-appearance order).
     pub functionals: Vec<FunctionalHandle>,
-    /// The conditions of the campaign, in builder order.
+    /// The conditions of the campaign, in builder order (explicit cells'
+    /// conditions follow, in first-appearance order).
     pub conditions: Vec<Condition>,
     pub pairs: Vec<PairOutcome>,
     /// Total campaign wall time.
@@ -693,6 +679,7 @@ type ConfigPolicy =
 pub struct CampaignBuilder {
     functionals: Vec<FunctionalHandle>,
     conditions: Vec<Condition>,
+    cells: Vec<(FunctionalHandle, Condition)>,
     config: VerifierConfig,
     config_policy: Option<ConfigPolicy>,
     global_budget_ms: Option<u64>,
@@ -740,6 +727,21 @@ impl CampaignBuilder {
         self
     }
 
+    /// Add explicit (functional, condition) cells, run after the
+    /// [`functionals`](Self::functionals) × [`conditions`](Self::conditions)
+    /// cross product (empty when no functionals were added). Different
+    /// functionals may thus run different condition subsets in one
+    /// campaign, and one pool. The report lists them in the order given.
+    pub fn cells<I, F>(mut self, cells: I) -> Self
+    where
+        I: IntoIterator<Item = (F, Condition)>,
+        F: IntoFunctional,
+    {
+        self.cells
+            .extend(cells.into_iter().map(|(f, c)| (f.into_handle(), c)));
+        self
+    }
+
     /// The verifier configuration every pair runs with (per-pair deadline
     /// included, via [`VerifierConfig::pair_deadline_ms`]).
     pub fn config(mut self, config: VerifierConfig) -> Self {
@@ -771,8 +773,9 @@ impl CampaignBuilder {
     }
 
     /// How cells are ordered across the pool (default:
-    /// [`CampaignSchedule::CostAware`], costliest-first with balanced worker
-    /// chunks). The report is always in matrix order regardless.
+    /// [`CampaignSchedule::CostAware`], costliest first, each cell taken by
+    /// the next free worker). The report is always in matrix order
+    /// regardless.
     pub fn schedule(mut self, schedule: CampaignSchedule) -> Self {
         self.schedule = schedule;
         self
@@ -918,12 +921,8 @@ impl CampaignBuilder {
     /// functionals were supplied (an empty campaign is always a caller bug)
     /// and with [`XcvError::DuplicateFunctional`] on duplicate names —
     /// reports key cells by name, so aliased columns would be ambiguous.
+    /// Explicit [`cells`](Self::cells) may name one functional many times.
     pub fn build(self) -> Result<Campaign, XcvError> {
-        if self.functionals.is_empty() {
-            return Err(XcvError::UnknownFunctional(
-                "(campaign has no functionals)".into(),
-            ));
-        }
         let mut names: Vec<String> = self
             .functionals
             .iter()
@@ -933,9 +932,41 @@ impl CampaignBuilder {
         if let Some(dup) = names.windows(2).find(|w| w[0] == w[1]) {
             return Err(XcvError::DuplicateFunctional(dup[0].clone()));
         }
+        let mut cells: Vec<(FunctionalHandle, Condition)> = self
+            .functionals
+            .iter()
+            .flat_map(|f| self.conditions.iter().map(move |&c| (Arc::clone(f), c)))
+            .collect();
+        cells.extend(self.cells);
+        // The report's axes: every functional and condition of the
+        // campaign, in first-appearance order.
+        let mut functionals = self.functionals;
+        let mut conditions = if functionals.is_empty() {
+            Vec::new()
+        } else {
+            self.conditions
+        };
+        for (f, c) in &cells {
+            let name = f.name();
+            if !functionals
+                .iter()
+                .any(|g| g.name().eq_ignore_ascii_case(&name))
+            {
+                functionals.push(Arc::clone(f));
+            }
+            if !conditions.contains(c) {
+                conditions.push(*c);
+            }
+        }
+        if functionals.is_empty() {
+            return Err(XcvError::UnknownFunctional(
+                "(campaign has no functionals)".into(),
+            ));
+        }
         Ok(Campaign {
-            functionals: self.functionals,
-            conditions: self.conditions,
+            cells,
+            functionals,
+            conditions,
             config: self.config,
             config_policy: self.config_policy,
             global_budget_ms: self.global_budget_ms,
@@ -955,8 +986,12 @@ impl CampaignBuilder {
     }
 }
 
-/// A verification campaign over a (functionals × conditions) matrix.
+/// A verification campaign over a (functionals × conditions) matrix, or
+/// over an explicit list of cells.
 pub struct Campaign {
+    /// Every cell, in report (matrix) order.
+    cells: Vec<(FunctionalHandle, Condition)>,
+    /// The report's axes (see [`CampaignReport::functionals`]).
     functionals: Vec<FunctionalHandle>,
     conditions: Vec<Condition>,
     config: VerifierConfig,
@@ -981,6 +1016,7 @@ impl Campaign {
         CampaignBuilder {
             functionals: Vec::new(),
             conditions: Condition::all().to_vec(),
+            cells: Vec::new(),
             config: VerifierConfig::default(),
             config_policy: None,
             global_budget_ms: None,
@@ -1022,31 +1058,30 @@ impl Campaign {
         // are either an EncodedProblem or a skip outcome, each tagged with
         // its modeled scheduling cost.
         let cells: Vec<CampaignCell> = self
-            .functionals
+            .cells
             .iter()
-            .flat_map(|f| {
-                self.conditions.iter().map(move |&cond| {
-                    let cost = pair_cost(f.as_ref(), cond);
-                    // An attached problem cache short-circuits encode + tape
-                    // compilation for content-identical pairs; without one,
-                    // encode fresh as before.
-                    let cell = match &self.problem_cache {
-                        Some(cache) => cache.encode(f, cond),
-                        None => Encoder::encode(f, cond).map(Arc::new),
-                    }
-                    .map_err(|e| {
-                        // A genuine `−` cell vs. a defective functional
-                        // (e.g. metadata promises an exchange part the
-                        // implementation lacks): the latter must not render
-                        // as a legitimate "not applicable".
-                        let reason = match e {
-                            XcvError::NotApplicable { .. } => SkipReason::NotApplicable,
-                            _ => SkipReason::EncodeFailed,
-                        };
-                        (Arc::clone(f), cond, reason)
-                    });
-                    (cost, cell)
-                })
+            .map(|(f, cond)| {
+                let cond = *cond;
+                let cost = pair_cost(f.as_ref(), cond);
+                // An attached problem cache short-circuits encode + tape
+                // compilation for content-identical pairs; without one,
+                // encode fresh as before.
+                let cell = match &self.problem_cache {
+                    Some(cache) => cache.encode(f, cond),
+                    None => Encoder::encode(f, cond).map(Arc::new),
+                }
+                .map_err(|e| {
+                    // A genuine `−` cell vs. a defective functional (e.g.
+                    // metadata promises an exchange part the implementation
+                    // lacks): the latter must not render as a legitimate
+                    // "not applicable".
+                    let reason = match e {
+                        XcvError::NotApplicable { .. } => SkipReason::NotApplicable,
+                        _ => SkipReason::EncodeFailed,
+                    };
+                    (Arc::clone(f), cond, reason)
+                });
+                (cost, cell)
             })
             .collect();
         // Shard ownership: deterministic, communication-free (see
@@ -1116,10 +1151,7 @@ impl Campaign {
                         (Ok(_), None) => *cost as f64,
                     })
                     .collect();
-                let workers = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4);
-                cost_aware_order(&costs, workers)
+                cost_aware_order(&costs)
             }
         };
         let scheduled: Vec<(usize, &CampaignCell)> =
@@ -1528,28 +1560,68 @@ mod tests {
     }
 
     #[test]
-    fn cost_aware_order_is_a_balanced_permutation() {
-        let costs = vec![100.0, 1.0, 1.0, 1.0, 50.0, 1.0, 1.0, 40.0];
-        let order = cost_aware_order(&costs, 4);
+    fn cost_aware_order_is_costliest_first_with_ties_in_matrix_order() {
+        let costs = vec![1.0, 100.0, 1.0, 40.0, 50.0, 1.0, 40.0, 1.0];
+        let order = cost_aware_order(&costs);
         let mut sorted = order.clone();
         sorted.sort_unstable();
-        assert_eq!(sorted, (0..8).collect::<Vec<_>>());
-        // The costliest cell leads, and the three heavy cells land in three
-        // different worker chunks (chunk size = 8 / 4 workers = 2).
-        assert_eq!(order[0], 0);
-        let chunk_of = |cell: usize| order.iter().position(|&i| i == cell).unwrap() / 2;
-        let chunks = [chunk_of(0), chunk_of(4), chunk_of(7)];
+        assert_eq!(sorted, (0..8).collect::<Vec<_>>(), "a permutation");
+        // Costliest first; equal costs (the two 40s, the four 1s) keep
+        // their matrix order.
+        assert_eq!(order, vec![1, 4, 3, 6, 0, 2, 5, 7]);
+        assert_eq!(cost_aware_order(&[]), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn explicit_cells_run_per_functional_condition_subsets() {
+        let cells = [
+            (Dfa::VwnRpa, Condition::EcScaling),
+            (Dfa::Lyp, Condition::EcNonPositivity),
+            (Dfa::Lyp, Condition::EcScaling),
+        ];
+        let report = Campaign::builder()
+            .cells(cells)
+            .config(quick_config(5_000))
+            .build()
+            .unwrap()
+            .run();
+        // Report order is the order given; the axes are first-appearance.
+        let got: Vec<(String, Condition)> = report
+            .pairs
+            .iter()
+            .map(|p| (p.functional_name(), p.condition))
+            .collect();
+        let want: Vec<(String, Condition)> = cells
+            .iter()
+            .map(|&(f, c)| (f.into_handle().name(), c))
+            .collect();
+        assert_eq!(got, want);
+        let axis: Vec<String> = report.functionals.iter().map(|f| f.name()).collect();
+        assert_eq!(axis, vec!["VWN RPA", "LYP"]);
         assert_eq!(
-            chunks
-                .iter()
-                .collect::<std::collections::HashSet<_>>()
-                .len(),
-            3,
-            "{order:?}"
+            report.conditions,
+            vec![Condition::EcScaling, Condition::EcNonPositivity]
         );
-        // Degenerate worker counts stay permutations.
-        assert_eq!(cost_aware_order(&costs, 1).len(), 8);
-        assert_eq!(cost_aware_order(&[], 4), Vec::<usize>::new());
+        // Each cell's mark is the cross-product campaign's.
+        let full = Campaign::builder()
+            .functionals([Dfa::VwnRpa, Dfa::Lyp])
+            .conditions([Condition::EcNonPositivity, Condition::EcScaling])
+            .config(quick_config(5_000))
+            .build()
+            .unwrap()
+            .run();
+        for p in &report.pairs {
+            assert_eq!(
+                Some(p.mark),
+                full.mark(&p.functional_name(), p.condition),
+                "{} / {}",
+                p.functional_name(),
+                p.condition
+            );
+        }
+        // Cells alone still need a functional.
+        let none: [(Dfa, Condition); 0] = [];
+        assert!(Campaign::builder().cells(none).build().is_err());
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //!
 //! * **Hit** — replay the memoized answer immediately (started event,
 //!   recorded witnesses, `pair` event with `cached: true`).
-//! * **Leader** — this request owns the solve. All leads for one
-//!   functional run as one [`Campaign`] (compiling through the shared
-//!   level-1 [`ProblemCache`], streaming its events down the wire as they
-//!   happen), and every outcome is finalized into the store.
+//! * **Leader** — this request owns the solve. All of a request's leads
+//!   run as one [`Campaign`] over an explicit cell list (compiling through
+//!   the shared level-1 [`ProblemCache`], streaming its events down the
+//!   wire as they happen), and every outcome is finalized into the store.
 //! * **Busy** — another request is already solving the identical key.
 //!   Deferred, and waited on only *after* this request's own leads are
 //!   finalized — the invariant that makes coalescing deadlock-free.
@@ -39,12 +39,12 @@ use std::time::{Duration, Instant};
 use xcv_conditions::Condition;
 use xcv_core::cache::{ProblemCache, ProblemKey};
 use xcv_core::{
-    Campaign, CampaignEvent, CostModel, FaultPlan, FaultSite, RegionMap, RegionStatus, SkipReason,
-    TableMark,
+    Campaign, CampaignBuilder, CampaignEvent, CostModel, FaultPlan, FaultSite, RegionMap,
+    RegionStatus, SkipReason, TableMark,
 };
 use xcv_functionals::{FunctionalHandle, Registry};
 
-use crate::proto::{Done, Event, Request, ServerStats, VerifyRequest};
+use crate::proto::{Done, Event, Policy, Request, ServerStats, VerifyRequest};
 use crate::store::{Claim, ResultKey, ResultStore, StoredResult, WaitOutcome};
 
 /// Longest accepted request line (bytes, newline included). A line past
@@ -442,7 +442,8 @@ fn skip_tag(reason: SkipReason) -> &'static str {
     match reason {
         SkipReason::NotApplicable => "na",
         SkipReason::EncodeFailed => "encode_failed",
-        SkipReason::BudgetExhausted => "budget",
+        // A lead campaign's only global budget is the request deadline.
+        SkipReason::BudgetExhausted => "timeout",
         SkipReason::Cancelled => "cancelled",
         SkipReason::OtherShard => "other_shard",
     }
@@ -504,18 +505,97 @@ fn stored_result_of(outcome: &xcv_core::PairOutcome) -> StoredResult {
     }
 }
 
+/// Milliseconds left before a request deadline (`None` = no deadline).
+fn remaining_ms(deadline: Option<Instant>) -> Option<u64> {
+    deadline.map(|d| {
+        u64::try_from(d.saturating_duration_since(Instant::now()).as_millis()).unwrap_or(u64::MAX)
+    })
+}
+
+/// The campaign that solves a request's claimed `cells`: the request's
+/// policy, the shared level-1 [`ProblemCache`], the daemon's cost model
+/// and fault plan, and — when the request has a deadline — a global budget
+/// of whatever is left of it, so pairs past the deadline are skipped
+/// ([`SkipReason::BudgetExhausted`]) and running pairs have their solver
+/// deadlines clamped.
+fn lead_campaign(
+    state: &State,
+    policy: Policy,
+    cells: impl IntoIterator<Item = (FunctionalHandle, Condition)>,
+    deadline: Option<Instant>,
+) -> CampaignBuilder {
+    let mut builder = Campaign::builder()
+        .cells(cells)
+        .config_policy(move |f, _| policy.verifier_config(f))
+        .problem_cache(Arc::clone(&state.problems));
+    if let Some(model) = &state.cost_model {
+        builder = builder.cost_model(model.clone());
+    }
+    if let Some(ms) = remaining_ms(deadline) {
+        builder = builder.global_budget_ms(ms);
+    }
+    if let Some(plan) = &state.fault_plan {
+        builder = builder.fault_plan(Arc::clone(plan));
+    }
+    builder
+}
+
+/// A campaign event as the wire event it streams as.
+fn wire_event(ev: &CampaignEvent) -> Event {
+    match ev {
+        CampaignEvent::PairStarted {
+            functional,
+            condition,
+        } => Event::Started {
+            functional: functional.clone(),
+            condition: *condition,
+        },
+        CampaignEvent::CounterexampleFound {
+            functional,
+            condition,
+            witness,
+        } => Event::Counterexample {
+            functional: functional.clone(),
+            condition: *condition,
+            witness: witness.clone(),
+        },
+        CampaignEvent::PairFinished {
+            functional,
+            condition,
+            mark,
+            wall_ms,
+        } => Event::Pair {
+            functional: functional.clone(),
+            condition: *condition,
+            mark: *mark,
+            wall_ms: u64::try_from(*wall_ms).unwrap_or(u64::MAX),
+            cached: false,
+            skipped: None,
+        },
+        CampaignEvent::PairSkipped {
+            functional,
+            condition,
+            reason,
+        } => Event::Pair {
+            functional: functional.clone(),
+            condition: *condition,
+            mark: if *reason == SkipReason::NotApplicable {
+                TableMark::NotApplicable
+            } else {
+                TableMark::Unknown
+            },
+            wall_ms: 0,
+            cached: false,
+            skipped: Some(skip_tag(*reason).to_string()),
+        },
+    }
+}
+
 fn handle_verify(state: &Arc<State>, writer: &Writer, req: &VerifyRequest) {
     let start = Instant::now();
     let deadline = state
         .request_deadline_ms
         .map(|ms| start + Duration::from_millis(ms));
-    // Milliseconds left before the request deadline (`None` = no deadline).
-    let remaining_ms = |deadline: Option<Instant>| -> Option<u64> {
-        deadline.map(|d| {
-            u64::try_from(d.saturating_duration_since(Instant::now()).as_millis())
-                .unwrap_or(u64::MAX)
-        })
-    };
     // Resolve every functional up front — an unknown name fails the whole
     // request before any work happens.
     let mut handles = Vec::new();
@@ -610,160 +690,78 @@ fn handle_verify(state: &Arc<State>, writer: &Writer, req: &VerifyRequest) {
         .map(|l| (l.key, state.results.guard(l.key)))
         .collect();
 
-    // Pass 2: solve the leads, one campaign per functional (a campaign is
-    // a full sub-matrix; different functionals may lead different
-    // condition subsets). Events stream to the client as they happen.
-    let mut by_functional: Vec<(FunctionalHandle, Vec<Lead>)> = Vec::new();
-    for lead in leads {
-        match by_functional
-            .iter_mut()
-            .find(|(f, _)| f.name() == lead.functional.name())
-        {
-            Some((_, group)) => group.push(lead),
-            None => by_functional.push((lead.functional.clone(), vec![lead])),
-        }
-    }
-    for (f, group) in by_functional {
-        // Deadline expired: report this group's pairs as timed out (their
-        // guards abandon the claims) and keep draining the cheap passes —
-        // already-solved answers still go out.
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            for lead in &group {
-                guards.remove(&lead.key);
-                send_timeout(writer, &f.name(), lead.condition, &mut done);
-            }
-            continue;
-        }
-        let mut builder = Campaign::builder()
-            .functional(f.clone())
-            .conditions(group.iter().map(|l| l.condition))
-            .config_policy(move |f, _| policy.verifier_config(f))
-            .problem_cache(Arc::clone(&state.problems))
-            .on_event({
-                let writer = Arc::clone(writer);
-                move |ev| {
-                    let mapped = match ev {
-                        CampaignEvent::PairStarted {
-                            functional,
-                            condition,
-                        } => Event::Started {
-                            functional: functional.clone(),
-                            condition: *condition,
-                        },
-                        CampaignEvent::CounterexampleFound {
-                            functional,
-                            condition,
-                            witness,
-                        } => Event::Counterexample {
-                            functional: functional.clone(),
-                            condition: *condition,
-                            witness: witness.clone(),
-                        },
-                        CampaignEvent::PairFinished {
-                            functional,
-                            condition,
-                            mark,
-                            wall_ms,
-                        } => Event::Pair {
-                            functional: functional.clone(),
-                            condition: *condition,
-                            mark: *mark,
-                            wall_ms: u64::try_from(*wall_ms).unwrap_or(u64::MAX),
-                            cached: false,
-                            skipped: None,
-                        },
-                        CampaignEvent::PairSkipped {
-                            functional,
-                            condition,
-                            reason,
-                        } => Event::Pair {
-                            functional: functional.clone(),
-                            condition: *condition,
-                            mark: if *reason == SkipReason::NotApplicable {
-                                TableMark::NotApplicable
-                            } else {
-                                TableMark::Unknown
-                            },
-                            wall_ms: 0,
-                            cached: false,
-                            skipped: Some(skip_tag(*reason).to_string()),
-                        },
-                    };
-                    send(&writer, &mapped);
-                }
-            });
-        if let Some(model) = &state.cost_model {
-            builder = builder.cost_model(model.clone());
-        }
-        if let Some(ms) = remaining_ms(deadline) {
-            // The campaign's own budget machinery enforces the request
-            // deadline: pairs past it are skipped (BudgetExhausted) and
-            // running pairs have their solver deadlines clamped.
-            builder = builder.global_budget_ms(ms);
-        }
-        if let Some(plan) = &state.fault_plan {
-            builder = builder.fault_plan(Arc::clone(plan));
-        }
-        let keys: HashMap<Condition, ResultKey> =
-            group.iter().map(|l| (l.condition, l.key)).collect();
-        match builder.build() {
-            Ok(campaign) => {
-                // Panic isolation, inner boundary: a panicking solve (one
-                // worker's panic propagates out of `campaign.run()`) must
-                // release this group's claims and fail the request — the
-                // coalesced waiters re-claim and take the solve over.
-                let report = match catch_unwind(AssertUnwindSafe(|| campaign.run())) {
-                    Ok(report) => report,
-                    Err(_) => {
-                        state.panics.fetch_add(1, Ordering::Relaxed);
-                        drop(guards); // abandon every unfinalized claim
-                        send(
-                            writer,
-                            &Event::Error {
-                                message: format!(
-                                    "campaign for {} panicked; claims released",
-                                    f.name()
-                                ),
-                            },
-                        );
-                        return;
-                    }
-                };
-                for outcome in &report.pairs {
-                    let Some(&key) = keys.get(&outcome.condition) else {
-                        continue;
-                    };
-                    let Some(guard) = guards.remove(&key) else {
-                        continue;
-                    };
-                    match outcome.skipped {
-                        Some(reason) => {
-                            // Dropping the guard abandons the claim. A skip
-                            // caused by the request deadline counts as a
-                            // timeout in the summary (the pair event already
-                            // streamed with the campaign's own tag).
-                            drop(guard);
-                            if reason == SkipReason::BudgetExhausted && deadline.is_some() {
-                                done.timeouts += 1;
-                            }
-                        }
-                        None => {
-                            done.solved += 1;
-                            guard.finalize(stored_result_of(outcome));
-                        }
-                    }
-                }
-            }
+    // Pass 2: solve every lead in one campaign. Different functionals may
+    // lead different condition subsets; one pool pulls all of them,
+    // costliest first, so no functional's slowest cell holds up the next
+    // functional's. Pairs past the request deadline are skipped by the
+    // campaign's own budget. Events stream to the client as they happen.
+    if !leads.is_empty() {
+        let builder = lead_campaign(
+            state,
+            policy,
+            leads.iter().map(|l| (l.functional.clone(), l.condition)),
+            deadline,
+        )
+        .on_event({
+            let writer = Arc::clone(writer);
+            move |ev| send(&writer, &wire_event(ev))
+        });
+        let keys: HashMap<(String, Condition), ResultKey> = leads
+            .iter()
+            .map(|l| ((l.functional.name(), l.condition), l.key))
+            .collect();
+        let campaign = match builder.build() {
+            Ok(campaign) => campaign,
             Err(e) => {
-                // The group's guards stay in the map; they abandon when the
-                // function returns, alongside every other group's.
+                // The guards abandon every claim when the function returns.
                 send(
                     writer,
                     &Event::Error {
-                        message: format!("campaign for {}: {e}", f.name()),
+                        message: format!("campaign: {e}"),
                     },
                 );
                 return;
+            }
+        };
+        // Panic isolation, inner boundary: a panicking solve (one worker's
+        // panic propagates out of `campaign.run()`) must release every
+        // unfinalized claim of this request and fail it — the coalesced
+        // waiters re-claim and take the solves over.
+        let report = match catch_unwind(AssertUnwindSafe(|| campaign.run())) {
+            Ok(report) => report,
+            Err(_) => {
+                state.panics.fetch_add(1, Ordering::Relaxed);
+                drop(guards); // abandon every unfinalized claim
+                send(
+                    writer,
+                    &Event::Error {
+                        message: "campaign panicked; claims released".to_string(),
+                    },
+                );
+                return;
+            }
+        };
+        for outcome in &report.pairs {
+            let Some(key) = keys.get(&(outcome.functional_name(), outcome.condition)) else {
+                continue;
+            };
+            let Some(guard) = guards.remove(key) else {
+                continue;
+            };
+            match outcome.skipped {
+                Some(reason) => {
+                    // Dropping the guard abandons the claim. A skip caused
+                    // by the request deadline counts as a timeout in the
+                    // summary (its pair event already streamed).
+                    drop(guard);
+                    if reason == SkipReason::BudgetExhausted && deadline.is_some() {
+                        done.timeouts += 1;
+                    }
+                }
+                None => {
+                    done.solved += 1;
+                    guard.finalize(stored_result_of(outcome));
+                }
             }
         }
     }
@@ -804,17 +802,12 @@ fn handle_verify(state: &Arc<State>, writer: &Writer, req: &VerifyRequest) {
                 Claim::Busy => continue,
                 Claim::Leader => {
                     let guard = state.results.guard(lead.key);
-                    let mut builder = Campaign::builder()
-                        .functional(lead.functional.clone())
-                        .conditions([lead.condition])
-                        .config_policy(move |f, _| policy.verifier_config(f))
-                        .problem_cache(Arc::clone(&state.problems));
-                    if let Some(ms) = remaining_ms(deadline) {
-                        builder = builder.global_budget_ms(ms);
-                    }
-                    if let Some(plan) = &state.fault_plan {
-                        builder = builder.fault_plan(Arc::clone(plan));
-                    }
+                    let builder = lead_campaign(
+                        state,
+                        policy,
+                        [(lead.functional.clone(), lead.condition)],
+                        deadline,
+                    );
                     let Ok(campaign) = builder.build() else {
                         break; // guard drop abandons
                     };

@@ -6,8 +6,12 @@
 //! (`par_iter`, `into_par_iter`, `map`, `flat_map_iter`, `reduce`, `collect`)
 //! while providing genuine multi-core execution:
 //!
-//! * work is split into one contiguous chunk per claimed CPU and executed on
-//!   scoped threads, preserving item order on `collect`;
+//! * work is pulled, not dealt: the calling thread and one scoped worker
+//!   per claimed CPU take the next index from one shared counter whenever
+//!   they free up, so a slow item delays only the worker running it
+//!   (Graham's list scheduling). Outputs are put back in index order, so
+//!   `collect` and `flat_map_iter` keep item order and `reduce` folds in
+//!   index order;
 //! * a global permit counter bounds the *total* number of live worker
 //!   threads across nested invocations (the verifier recursion fans out at
 //!   several depths), degrading gracefully to sequential execution when the
@@ -19,7 +23,8 @@
 //!
 //! [rayon's]: https://docs.rs/rayon
 
-use std::sync::atomic::{AtomicIsize, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 
 pub mod prelude {
     pub use crate::{IntoParallelIterator, ParallelIterator, ParallelSlice};
@@ -36,71 +41,124 @@ fn hardware_threads() -> isize {
         .unwrap_or(4)
 }
 
-/// Claim up to `want` extra worker threads; returns how many were granted.
-fn claim(want: isize) -> isize {
-    if want <= 0 {
-        return 0;
-    }
-    // Lazy init: the first caller seeds the counter.
-    let _ = PERMITS.compare_exchange(
-        -1,
-        hardware_threads() - 1,
-        Ordering::SeqCst,
-        Ordering::SeqCst,
-    );
-    let mut granted = 0;
-    while granted < want {
-        let cur = PERMITS.load(Ordering::SeqCst);
-        if cur <= 0 {
-            break;
+/// Claimed worker-thread permits. Dropping the value returns them, on
+/// unwinding too: a panicking `par_iter` must not shrink the budget of
+/// every later one.
+struct Permits(isize);
+
+impl Permits {
+    /// Claim up to `want` extra worker threads (possibly none).
+    fn claim(want: isize) -> Permits {
+        if want <= 0 {
+            return Permits(0);
         }
-        let take = (cur).min(want - granted);
-        if PERMITS
-            .compare_exchange(cur, cur - take, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            granted += take;
+        // Lazy init: the first caller seeds the counter.
+        let _ = PERMITS.compare_exchange(
+            -1,
+            hardware_threads() - 1,
+            Ordering::SeqCst,
+            Ordering::SeqCst,
+        );
+        let mut granted = 0;
+        while granted < want {
+            let cur = PERMITS.load(Ordering::SeqCst);
+            if cur <= 0 {
+                break;
+            }
+            let take = cur.min(want - granted);
+            if PERMITS
+                .compare_exchange(cur, cur - take, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+            {
+                granted += take;
+            }
         }
+        Permits(granted)
     }
-    granted
+
+    /// Split one permit off, for a worker to hold (and return) itself.
+    fn split_one(&mut self) -> Permits {
+        self.0 -= 1;
+        Permits(1)
+    }
 }
 
-fn release(n: isize) {
-    if n > 0 {
-        PERMITS.fetch_add(n, Ordering::SeqCst);
+impl Drop for Permits {
+    fn drop(&mut self) {
+        if self.0 > 0 {
+            PERMITS.fetch_add(self.0, Ordering::SeqCst);
+        }
     }
 }
 
-/// Run `f(chunk_index)` for each of `pieces` index ranges over `0..len`,
-/// on up to `granted + 1` threads, returning per-chunk outputs in order.
-fn run_chunked<R, F>(len: usize, f: F) -> Vec<R>
+/// Closes the shared queue when a worker unwinds, so the other workers stop
+/// after their current run instead of draining it.
+struct CloseOnPanic<'a>(&'a AtomicUsize, usize);
+
+impl Drop for CloseOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(self.1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Run `f` over `0..len` in runs of consecutive indices, on the calling
+/// thread plus up to one claimed worker per spare CPU, and return the runs'
+/// outputs in index order. Workers pull the next run from one shared
+/// counter whenever they free up, so one slow item holds up only the worker
+/// running it. A run is a single item unless `len` exceeds 32 runs per
+/// thread, so cheap uniform items (grid points) do not each pay for a
+/// queue round trip. Each worker returns its permit as soon as the queue
+/// runs dry, so a nested call in a still-running item (a certificate
+/// replay at the tail of a campaign) can claim it.
+fn run_pulled<R, F>(len: usize, f: F) -> Vec<R>
 where
     R: Send,
-    F: Fn(std::ops::Range<usize>) -> R + Sync,
+    F: Fn(Range<usize>) -> R + Sync,
 {
     if len == 0 {
         return Vec::new();
     }
-    let extra = claim((len as isize - 1).min(hardware_threads() - 1));
-    let pieces = (extra + 1) as usize;
-    if pieces <= 1 {
-        release(extra);
+    let mut permits = Permits::claim((len as isize - 1).min(hardware_threads() - 1));
+    if permits.0 == 0 {
         return vec![f(0..len)];
     }
-    let chunk = len.div_ceil(pieces);
-    let bounds: Vec<std::ops::Range<usize>> = (0..pieces)
-        .map(|i| (i * chunk).min(len)..((i + 1) * chunk).min(len))
-        .filter(|r| !r.is_empty())
-        .collect();
-    let out = std::thread::scope(|scope| {
-        let handles: Vec<_> = bounds.into_iter().map(|r| scope.spawn(|| f(r))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rayon-shim worker panicked"))
-            .collect::<Vec<R>>()
+    let grain = (len / (32 * (permits.0 as usize + 1))).max(1);
+    // `Relaxed` suffices: the counter publishes no data, the outputs come
+    // back through the join.
+    let next = AtomicUsize::new(0);
+    let work = &|| {
+        let _close = CloseOnPanic(&next, len);
+        let mut runs = Vec::new();
+        loop {
+            let start = next.fetch_add(grain, Ordering::Relaxed);
+            if start >= len {
+                return runs;
+            }
+            runs.push((start, f(start..(start + grain).min(len))));
+        }
+    };
+    let mut runs: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..permits.0)
+            .map(|_| {
+                let permit = permits.split_one();
+                scope.spawn(move || {
+                    let _permit = permit;
+                    work()
+                })
+            })
+            .collect();
+        let mut runs = work();
+        for h in handles {
+            // Re-raise a worker's panic with its own payload; the scope
+            // still joins the other workers first.
+            runs.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        runs
     });
-    release(extra);
-    out
+    runs.sort_unstable_by_key(|&(start, _)| start);
+    runs.into_iter().map(|(_, r)| r).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -109,7 +167,7 @@ where
 
 /// A "parallel iterator": a deferred pipeline over an indexable base.
 /// Every adapter keeps the item-producing closure; terminal operations
-/// execute the pipeline chunk-wise across threads.
+/// execute the pipeline run by run across threads.
 pub trait ParallelIterator: Sized + Sync {
     type Item: Send;
 
@@ -127,7 +185,7 @@ pub trait ParallelIterator: Sized + Sync {
     }
 
     /// rayon's `flat_map_iter`: map each item to a *serial* iterator and
-    /// flatten. The flattening happens inside each chunk, preserving order.
+    /// flatten. The flattening happens inside each run, preserving order.
     fn flat_map_iter<U, F>(self, f: F) -> FlatMapIter<Self, F>
     where
         U: IntoIterator,
@@ -137,20 +195,22 @@ pub trait ParallelIterator: Sized + Sync {
         FlatMapIter { base: self, f }
     }
 
-    /// Parallel reduce with an identity factory (rayon's signature).
+    /// Parallel reduce with an identity factory (rayon's signature). Items
+    /// fold in index order whichever worker ran them, so an order-sensitive
+    /// associative `op` (concatenation) gives the sequential result.
     fn reduce<ID, OP>(self, identity: ID, op: OP) -> Self::Item
     where
         ID: Fn() -> Self::Item + Sync + Send,
         OP: Fn(Self::Item, Self::Item) -> Self::Item + Sync + Send,
     {
-        let chunks = run_chunked(self.p_len(), |r| {
+        let runs = run_pulled(self.p_len(), |r| {
             let mut acc = identity();
             for i in r {
                 acc = op(acc, self.p_get(i));
             }
             acc
         });
-        chunks.into_iter().fold(identity(), &op)
+        runs.into_iter().fold(identity(), &op)
     }
 
     /// Collect into any `FromIterator` collection, preserving item order.
@@ -159,7 +219,7 @@ pub trait ParallelIterator: Sized + Sync {
     }
 }
 
-/// Flattening terminal support: pipelines whose chunks natively produce
+/// Flattening terminal support: pipelines whose runs natively produce
 /// multiple outputs (`flat_map_iter`) override this.
 pub trait FromParallelIterator<T: Send> {
     fn from_par_iter<P: ParallelIterator<Item = T>>(p: P) -> Self;
@@ -167,10 +227,10 @@ pub trait FromParallelIterator<T: Send> {
 
 impl<T: Send> FromParallelIterator<T> for Vec<T> {
     fn from_par_iter<P: ParallelIterator<Item = T>>(p: P) -> Self {
-        let chunks = run_chunked(p.p_len(), |r| r.map(|i| p.p_get(i)).collect::<Vec<T>>());
-        let mut out = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-        for c in chunks {
-            out.extend(c);
+        let runs = run_pulled(p.p_len(), |r| r.map(|i| p.p_get(i)).collect::<Vec<T>>());
+        let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+        for run in runs {
+            out.extend(run);
         }
         out
     }
@@ -239,7 +299,7 @@ impl IntoParallelIterator for std::ops::Range<usize> {
 }
 
 /// Owned-Vec source: items are moved out exactly once (each index is visited
-/// once by construction of `run_chunked`).
+/// once by construction of `run_pulled`).
 pub struct ParVec<T: Send> {
     items: Vec<std::sync::Mutex<Option<T>>>,
 }
@@ -299,7 +359,7 @@ pub struct FlatMapIter<B, F> {
 }
 
 /// `flat_map_iter` pipelines only support `collect::<Vec<_>>()`; each base
-/// item expands in place, so chunk outputs stay ordered.
+/// item expands in place, so run outputs stay ordered.
 impl<B, F, U> FlatMapIter<B, F>
 where
     B: ParallelIterator,
@@ -308,16 +368,16 @@ where
     F: Fn(B::Item) -> U + Sync + Send,
 {
     pub fn collect<C: From<Vec<U::Item>>>(self) -> C {
-        let chunks = run_chunked(self.base.p_len(), |r| {
+        let runs = run_pulled(self.base.p_len(), |r| {
             let mut out = Vec::new();
             for i in r {
                 out.extend((self.f)(self.base.p_get(i)));
             }
             out
         });
-        let mut out = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-        for c in chunks {
-            out.extend(c);
+        let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+        for run in runs {
+            out.extend(run);
         }
         C::from(out)
     }

@@ -225,3 +225,57 @@ fn protocol_control_commands_round_trip() {
     client.ping().expect("connection still alive");
     server.shutdown();
 }
+
+#[test]
+fn partial_leads_solve_only_the_missing_cells() {
+    let mut server = Server::spawn(ServerConfig::default()).expect("ephemeral port");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let policy = flat(150);
+    // Prime a condition subset for some functionals: the full-matrix
+    // request after it leads the remaining conditions for those, and all
+    // seven for the rest — different subsets per functional, one campaign.
+    let subset = VerifyRequest {
+        functionals: vec!["PBE".to_string(), "LYP".to_string(), "SCAN".to_string()],
+        conditions: vec![
+            xcv_conditions::Condition::EcNonPositivity,
+            xcv_conditions::Condition::EcScaling,
+        ],
+        policy,
+    };
+    let (_, first) = verify_marks(&mut client, &subset);
+    assert_eq!(first.solved, 6, "3 functionals x 2 correlation conditions");
+
+    let solves_before = server.stats().solves;
+    let (marks, second) = verify_marks(&mut client, &extended_request(policy));
+    // 40 distinct problems in the matrix (see the warm-pass test); the
+    // primed ones answer from the result store.
+    assert_eq!(
+        second.solved,
+        40 - first.solved,
+        "only the missing cells solve"
+    );
+    assert_eq!(
+        second.cached + second.solved,
+        45,
+        "every applicable pair answers"
+    );
+    assert_eq!(second.timeouts, 0);
+    assert_eq!(server.stats().solves - solves_before, second.solved);
+
+    let reference = Campaign::builder()
+        .registry(&Registry::extended())
+        .config_policy(move |f, _| policy.verifier_config(f))
+        .build()
+        .unwrap()
+        .run();
+    assert_eq!(marks.len(), reference.pairs.len());
+    for p in &reference.pairs {
+        let key = (p.functional_name(), p.condition.id().to_string());
+        assert_eq!(
+            marks.get(&key),
+            Some(&p.mark),
+            "service and in-process campaign disagree on {key:?}"
+        );
+    }
+    server.shutdown();
+}
